@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"repro/internal/cost"
 	"repro/internal/netlist"
@@ -22,6 +23,26 @@ import (
 // the meaning of any stored field changes, so stale cached artifacts are
 // rejected instead of misread.
 const artifactFormat = "autoncs-artifact/v1"
+
+// maxArtifactBins caps the routing grid Restore allocates, whatever extent
+// the stored placement claims. An n=400 compile routes its 448 cells on
+// 2679 bins, about six per cell; the cap is 4M bins (32 MiB of usage
+// counters), room for over half a million cells.
+const maxArtifactBins = 1 << 22
+
+// ArtifactError reports artifact contents no compile produces: a
+// non-finite coordinate or wire length, or a routing grid larger than the
+// one the router builds over the stored placement. Artifacts arrive from
+// disk caches and fleet peers, so Restore checks for these before it
+// allocates anything sized by the stored grid.
+type ArtifactError struct {
+	Field  string // the offending field, e.g. "placement[3]" or "routing grid"
+	Reason string
+}
+
+func (e *ArtifactError) Error() string {
+	return fmt.Sprintf("autoncs: artifact %s: %s", e.Field, e.Reason)
+}
 
 type artifactJSON struct {
 	Format       string          `json:"format"`
@@ -170,6 +191,9 @@ func (a *Artifact) Restore(cfg Config) (*Result, error) {
 	if a.Placement == nil {
 		return res, nil
 	}
+	if err := a.checkPhysical(cfg.Route.Theta); err != nil {
+		return nil, err
+	}
 	nl, err := netlist.Build(a.Assignment, cfg.Device)
 	if err != nil {
 		return nil, fmt.Errorf("autoncs: restoring artifact netlist: %w", err)
@@ -202,4 +226,45 @@ func (a *Artifact) Restore(cfg Config) (*Result, error) {
 	}
 	res.Netlist, res.Placement, res.Routing, res.Report = nl, a.Placement, rt, rep
 	return res, nil
+}
+
+// checkPhysical validates the physical sections before Restore sizes any
+// allocation from them: every coordinate and wire length is finite, and
+// the routing grid is no larger than the one route builds over this
+// placement with theta-wide bins, nor than maxArtifactBins.
+func (a *Artifact) checkPhysical(theta float64) error {
+	pl, rt := a.Placement, a.Routing
+	if rt == nil {
+		return &ArtifactError{Field: "routing", Reason: "missing beside a placement"}
+	}
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	for i := range pl.X {
+		if !finite(pl.X[i]) || !finite(pl.Y[i]) {
+			return &ArtifactError{Field: fmt.Sprintf("placement[%d]", i),
+				Reason: fmt.Sprintf("non-finite coordinate (%g, %g)", pl.X[i], pl.Y[i])}
+		}
+	}
+	for _, v := range []float64{pl.MinX, pl.MinY, pl.MaxX, pl.MaxY, pl.HPWL} {
+		if !finite(v) {
+			return &ArtifactError{Field: "placement bounds",
+				Reason: fmt.Sprintf("non-finite value in [%g, %g]x[%g, %g] hpwl %g", pl.MinX, pl.MaxX, pl.MinY, pl.MaxY, pl.HPWL)}
+		}
+	}
+	for i, l := range rt.WireLength {
+		if !finite(l) {
+			return &ArtifactError{Field: fmt.Sprintf("wire_length[%d]", i), Reason: fmt.Sprintf("non-finite length %g", l)}
+		}
+	}
+	// Route's grid is ceil(max(extent, theta)/theta)+1 bins per axis. The
+	// comparison stays in float64 so an absurd extent cannot overflow an
+	// int conversion; the cap bounds what that extent can claim.
+	maxCols := math.Ceil(math.Max(pl.Width(), theta)/theta) + 1
+	maxRows := math.Ceil(math.Max(pl.Height(), theta)/theta) + 1
+	if rt.Cols < 1 || rt.Rows < 1 || float64(rt.Cols) > maxCols || float64(rt.Rows) > maxRows ||
+		rt.Cols > maxArtifactBins/rt.Rows {
+		return &ArtifactError{Field: "routing grid",
+			Reason: fmt.Sprintf("%dx%d bins; the placement routes on at most %gx%g, and the cap is %d bins",
+				rt.Cols, rt.Rows, maxCols, maxRows, maxArtifactBins)}
+	}
+	return nil
 }

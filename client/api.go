@@ -9,6 +9,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+
+	"repro"
 )
 
 // CompileRequest is the body of POST /v1/compile. Exactly one network
@@ -207,8 +209,8 @@ type Metrics struct {
 	// Flights counts the entries of the single-flight table: compiles
 	// queued or running that new identical submissions would attach to.
 	Flights int `json:"flights"`
-	// AdmitRounds counts admission batches decided (each one lock
-	// acquisition covering up to -batch-size submissions).
+	// AdmitRounds counts admission decisions: one server-lock acquisition
+	// per submission that missed the cache.
 	AdmitRounds int64 `json:"admit_rounds"`
 
 	JobsAccepted  int64 `json:"jobs_accepted"`
@@ -261,33 +263,10 @@ type Metrics struct {
 	LastDelta      *DeltaSummary `json:"last_delta,omitempty"`
 }
 
-// DeltaSummary mirrors obs.DeltaStats on the wire: how much of the base
-// compile one delta recompile reused, per stage. Every counter is
+// DeltaSummary is the wire form of autoncs.DeltaStats: how much of the
+// base compile one delta recompile reused, per stage. Every counter is
 // deterministic for any worker count.
-type DeltaSummary struct {
-	Edits          int     `json:"edits"`
-	AddedEdges     int     `json:"added_edges"`
-	RemovedEdges   int     `json:"removed_edges"`
-	TouchedNeurons int     `json:"touched_neurons"`
-	EditRatio      float64 `json:"edit_ratio"`
-
-	BaseCrossbars    int     `json:"base_crossbars"`
-	KeptCrossbars    int     `json:"kept_crossbars"`
-	DirtyCrossbars   int     `json:"dirty_crossbars"`
-	NewCrossbars     int     `json:"new_crossbars"`
-	ResidualConns    int     `json:"residual_conns"`
-	ClusterReuseFrac float64 `json:"cluster_reuse_frac"`
-
-	Cells          int     `json:"cells"`
-	SeededCells    int     `json:"seeded_cells"`
-	PlaceReuseFrac float64 `json:"place_reuse_frac"`
-
-	Wires          int     `json:"wires"`
-	ReusedWires    int     `json:"reused_wires"`
-	ReroutedWires  int     `json:"rerouted_wires"`
-	RouteReuseFrac float64 `json:"route_reuse_frac"`
-	FullRoute      bool    `json:"full_route,omitempty"`
-}
+type DeltaSummary = autoncs.DeltaStats
 
 // RequestTiming is one flat per-request latency record: where a job's wall
 // time went (admission wait, queue wait, compile run) and how it was

@@ -216,7 +216,7 @@ type RequestTiming struct {
 	State     string // terminal state: done, failed, or cancelled
 
 	Submitted time.Time     // when the request entered the handler
-	AdmitWait time.Duration // submit → admission decision (the batcher window)
+	AdmitWait time.Duration // submit → admission decision (probe + lock)
 	QueueWait time.Duration // admission → compile start (zero when attached mid-run)
 	Run       time.Duration // compile start → terminal state
 	Total     time.Duration // submit → terminal state
@@ -228,31 +228,31 @@ type RequestTiming struct {
 // finishes. Every counter is deterministic for any worker count.
 type DeltaStats struct {
 	// Edit set, against the base network.
-	Edits          int     // added + removed connections
-	AddedEdges     int     // connections present only in the edited network
-	RemovedEdges   int     // connections present only in the base network
-	TouchedNeurons int     // neurons incident to any edit
-	EditRatio      float64 // edits / base connections
+	Edits          int     `json:"edits"`           // added + removed connections
+	AddedEdges     int     `json:"added_edges"`     // connections present only in the edited network
+	RemovedEdges   int     `json:"removed_edges"`   // connections present only in the base network
+	TouchedNeurons int     `json:"touched_neurons"` // neurons incident to any edit
+	EditRatio      float64 `json:"edit_ratio"`      // edits / base connections
 
 	// Clustering reuse.
-	BaseCrossbars    int     // crossbars in the previous assignment
-	KeptCrossbars    int     // crossbars carried over untouched
-	DirtyCrossbars   int     // crossbars dissolved into the residual
-	NewCrossbars     int     // crossbars the residual re-clustering produced
-	ResidualConns    int     // connections re-clustered (residual network)
-	ClusterReuseFrac float64 // kept / base crossbars (0 with no base crossbars)
+	BaseCrossbars    int     `json:"base_crossbars"`     // crossbars in the previous assignment
+	KeptCrossbars    int     `json:"kept_crossbars"`     // crossbars carried over untouched
+	DirtyCrossbars   int     `json:"dirty_crossbars"`    // crossbars dissolved into the residual
+	NewCrossbars     int     `json:"new_crossbars"`      // crossbars the residual re-clustering produced
+	ResidualConns    int     `json:"residual_conns"`     // connections re-clustered (residual network)
+	ClusterReuseFrac float64 `json:"cluster_reuse_frac"` // kept / base crossbars (0 with no base crossbars)
 
 	// Placement reuse.
-	Cells          int     // cells of the new netlist
-	SeededCells    int     // cells warm-started at their previous coordinates
-	PlaceReuseFrac float64 // seeded / cells (0 with no cells)
+	Cells          int     `json:"cells"`            // cells of the new netlist
+	SeededCells    int     `json:"seeded_cells"`     // cells warm-started at their previous coordinates
+	PlaceReuseFrac float64 `json:"place_reuse_frac"` // seeded / cells (0 with no cells)
 
 	// Routing reuse.
-	Wires          int     // wires of the new netlist
-	ReusedWires    int     // wires that kept their previous path through round 1
-	ReroutedWires  int     // wires routed fresh (dirty, ripped, or fallback)
-	RouteReuseFrac float64 // reused / wires (0 with no wires)
-	FullRoute      bool    // the route degraded to a from-scratch run
+	Wires          int     `json:"wires"`                // wires of the new netlist
+	ReusedWires    int     `json:"reused_wires"`         // wires that kept their previous path through round 1
+	ReroutedWires  int     `json:"rerouted_wires"`       // wires routed fresh (dirty, ripped, or fallback)
+	RouteReuseFrac float64 `json:"route_reuse_frac"`     // reused / wires (0 with no wires)
+	FullRoute      bool    `json:"full_route,omitempty"` // the route degraded to a from-scratch run
 }
 
 func (CompileStart) event()    {}

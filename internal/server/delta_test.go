@@ -3,13 +3,18 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro"
 	"repro/client"
 	"repro/internal/cache"
+	"repro/internal/obs"
 )
 
 // baseNet is the network smallReq compiles server-side (the daemon builds
@@ -260,5 +265,41 @@ func TestDeltaEditRatioFallback(t *testing.T) {
 	}
 	if m.DeltaFallbacks != 1 || m.DeltaCompiles != 0 {
 		t.Errorf("fallbacks %d deltas %d, want 1/0", m.DeltaFallbacks, m.DeltaCompiles)
+	}
+}
+
+// TestMetricsLastDeltaKeys pins the last_delta wire schema on /metrics:
+// exactly these keys, with full_route omitted when false.
+func TestMetricsLastDeltaKeys(t *testing.T) {
+	s, _ := newTestServer(t, Options{Slots: 1})
+	want := []string{
+		"edits", "added_edges", "removed_edges", "touched_neurons", "edit_ratio",
+		"base_crossbars", "kept_crossbars", "dirty_crossbars", "new_crossbars", "residual_conns", "cluster_reuse_frac",
+		"cells", "seeded_cells", "place_reuse_frac",
+		"wires", "reused_wires", "rerouted_wires", "route_reuse_frac",
+	}
+	for _, full := range []bool{false, true} {
+		s.metrics.Observe(obs.DeltaStats{Edits: 3, EditRatio: 0.01, FullRoute: full})
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		var body struct {
+			LastDelta map[string]json.RawMessage `json:"last_delta"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatal(err)
+		}
+		keys := append([]string(nil), want...)
+		if full {
+			keys = append(keys, "full_route")
+		}
+		got := make([]string, 0, len(body.LastDelta))
+		for k := range body.LastDelta {
+			got = append(got, k)
+		}
+		slices.Sort(keys)
+		slices.Sort(got)
+		if !slices.Equal(got, keys) {
+			t.Errorf("full_route=%v: last_delta keys\n got %v\nwant %v", full, got, keys)
+		}
 	}
 }

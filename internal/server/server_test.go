@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -284,6 +285,102 @@ func TestDrainTimeoutCancelsStragglers(t *testing.T) {
 	if final.State != client.StateCancelled {
 		t.Errorf("straggler ended %s, want cancelled", final.State)
 	}
+}
+
+// TestDrainRacesInlineAdmission: submissions racing a Drain each end as
+// either an accepted job that runs to a terminal state or a 503 with
+// Retry-After — none hangs or is lost, JobsAccepted counts exactly the
+// non-503 answers, and nothing leaks once the server is gone.
+func TestDrainRacesInlineAdmission(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	const n = 32
+	s, err := New(Options{Slots: 2, QueueDepth: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.compileFn = func(ctx context.Context, sp *compileSpec, workers int, ob obs.Observer) (*autoncs.Result, error) {
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-time.After(time.Millisecond):
+		}
+		return nil, errors.New("stub compile")
+	}
+	hs := httptest.NewServer(s.Handler())
+	c := client.NewWith(hs.URL, hs.Client())
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	gate := make(chan struct{})
+	var wg sync.WaitGroup
+	ids := make([]string, n)
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-gate
+			// Every fourth submission repeats a key, so followers race the
+			// drain too.
+			var st *client.JobStatus
+			if st, errs[i] = c.Compile(ctx, smallReq(int64(i%(n/4)+1))); errs[i] == nil {
+				ids[i] = st.ID
+			}
+		}(i)
+	}
+	close(gate)
+	// Drain once a quarter are in, so it lands while the rest are in flight.
+	waitFor(t, "first admissions", func() bool { return s.accepted.Load() >= n/4 })
+	drained := make(chan error, 1)
+	go func() {
+		err := s.Drain(ctx)
+		wg.Wait()
+		drained <- err
+	}()
+	select {
+	case err := <-drained:
+		if err != nil {
+			t.Fatalf("Drain: %v", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("Drain or a submission hung")
+	}
+
+	var accepted int64
+	for i := 0; i < n; i++ {
+		if errs[i] != nil {
+			var apiErr *client.APIError
+			if !errors.As(errs[i], &apiErr) || apiErr.Status != http.StatusServiceUnavailable || apiErr.RetryAfter <= 0 {
+				t.Errorf("submission %d: %v, want an accepted job or 503 + Retry-After", i, errs[i])
+			}
+			continue
+		}
+		accepted++
+		st, err := c.Job(ctx, ids[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != client.StateFailed {
+			t.Errorf("job %s ended %s after drain, want the stub's failure", st.ID, st.State)
+		}
+	}
+	m, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.JobsAccepted != accepted {
+		t.Errorf("jobs_accepted %d, want the %d non-503 answers", m.JobsAccepted, accepted)
+	}
+	t.Logf("%d accepted, %d refused while draining", accepted, n-int(accepted))
+
+	hs.Close()
+	for i := 0; i < 100; i++ {
+		if runtime.NumGoroutine() <= baseline {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Errorf("goroutines leaked after drain: %d, baseline %d", runtime.NumGoroutine(), baseline)
 }
 
 // TestCancelRunningJobLeaksNoGoroutines reuses the PR-3 leak-check
