@@ -3,6 +3,7 @@ package autoncs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 
@@ -30,11 +31,12 @@ const artifactFormat = "autoncs-artifact/v1"
 // counters), room for over half a million cells.
 const maxArtifactBins = 1 << 22
 
-// ArtifactError reports artifact contents no compile produces: a
-// non-finite coordinate or wire length, or a routing grid larger than the
-// one the router builds over the stored placement. Artifacts arrive from
-// disk caches and fleet peers, so Restore checks for these before it
-// allocates anything sized by the stored grid.
+// ArtifactError reports artifact contents no compile produces: an
+// assignment neuron id outside [0, N) or an N above the network parser's
+// cap (DecodeArtifact), a non-finite coordinate or wire length, or a
+// routing grid larger than the one the router builds over the stored
+// placement (Restore). Artifacts arrive from disk caches and fleet peers,
+// so these are checked before anything indexes or allocates by them.
 type ArtifactError struct {
 	Field  string // the offending field, e.g. "placement[3]" or "routing grid"
 	Reason string
@@ -144,6 +146,10 @@ func DecodeArtifact(data []byte) (*Artifact, error) {
 		return nil, fmt.Errorf("autoncs: artifact config vector %q is not a sha256 hex digest", art.ConfigVector)
 	}
 	a, err := xbar.ReadJSON(bytes.NewReader(art.Assignment))
+	var fe *xbar.FieldError
+	if errors.As(err, &fe) {
+		return nil, &ArtifactError{Field: "assignment " + fe.Field, Reason: fe.Reason}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("autoncs: decoding artifact assignment: %w", err)
 	}

@@ -98,5 +98,11 @@ func FuzzDecodeArtifact(f *testing.F) {
 		if grown, budget := after.TotalAlloc-before.TotalAlloc, uint64(8*maxArtifactBins+256*len(data)+1<<20); grown > budget {
 			t.Fatalf("decode+restore of %d bytes allocated %d bytes, budget %d", len(data), grown, budget)
 		}
+		// A delta diffs against the reconstructed network: every decoded
+		// assignment must index its own neuron count without panicking.
+		// Outside the budget: the network is N² bits by construction.
+		if base := BaseNetwork(art.Assignment); base.N() != art.Assignment.N {
+			t.Fatalf("base network has %d neurons, assignment %d", base.N(), art.Assignment.N)
+		}
 	})
 }

@@ -203,7 +203,7 @@ type Config struct {
 	// Multilevel enables the multilevel clustering engine: heavy-edge-
 	// matching coarsening down to MultilevelCutoff, spectral partitioning of
 	// the coarse graph, and uncoarsening with boundary-local Fiedler
-	// refinement, with warm-started Lanczos solves on the flat tail. Off by
+	// refinement; the tail at or below the cutoff runs the flat engine. Off by
 	// default — the flat engine is the paper-faithful reference path whose
 	// results are golden-pinned; the multilevel path trades bit-compatible
 	// clusterings for near-linear scaling on large networks (its results are

@@ -242,8 +242,8 @@ func compile2000(ctx context.Context, seed int64, workers int, ob autoncs.Observ
 		len(res.Assignment.Crossbars), len(res.Assignment.Synapses),
 		100*res.Assignment.OutlierRatio(), len(res.Trace))
 	cs := m.Snapshot().LastClusterStats
-	fmt.Printf("engine: %d multilevel + %d flat rounds, depth %d, %d eigensolves (%d warm), %d refine moves\n",
-		cs.MultilevelRounds, cs.FlatRounds, cs.MaxDepth, cs.Eigensolves, cs.WarmStarts, cs.RefineMoves)
+	fmt.Printf("engine: %d multilevel + %d flat rounds, depth %d, %d eigensolves, %d refine moves\n",
+		cs.MultilevelRounds, cs.FlatRounds, cs.MaxDepth, cs.Eigensolves, cs.RefineMoves)
 	rec.stageTimes(res.StageTimes)
 	rec.metric("crossbars", float64(len(res.Assignment.Crossbars)))
 	rec.metric("synapses", float64(len(res.Assignment.Synapses)))
@@ -252,7 +252,6 @@ func compile2000(ctx context.Context, seed int64, workers int, ob autoncs.Observ
 	rec.metric("multilevel_rounds", float64(cs.MultilevelRounds))
 	rec.metric("flat_rounds", float64(cs.FlatRounds))
 	rec.metric("eigensolves", float64(cs.Eigensolves))
-	rec.metric("warm_starts", float64(cs.WarmStarts))
 	rec.metric("refine_moves", float64(cs.RefineMoves))
 	return nil
 }
@@ -283,8 +282,8 @@ func compile10k(ctx context.Context, quick bool, seed int64, workers int, ob aut
 		net.NNZ(), len(res.Assignment.Crossbars), len(res.Assignment.Synapses),
 		100*res.Assignment.OutlierRatio(), len(res.Trace))
 	cs := m.Snapshot().LastClusterStats
-	fmt.Printf("engine: %d multilevel + %d flat rounds, depth %d, %d matchings, %d eigensolves (%d warm), %d refine moves\n",
-		cs.MultilevelRounds, cs.FlatRounds, cs.MaxDepth, cs.Matchings, cs.Eigensolves, cs.WarmStarts, cs.RefineMoves)
+	fmt.Printf("engine: %d multilevel + %d flat rounds, depth %d, %d matchings, %d eigensolves, %d refine moves\n",
+		cs.MultilevelRounds, cs.FlatRounds, cs.MaxDepth, cs.Matchings, cs.Eigensolves, cs.RefineMoves)
 	rec.stageTimes(res.StageTimes)
 	rec.metric("connections", float64(net.NNZ()))
 	rec.metric("crossbars", float64(len(res.Assignment.Crossbars)))
@@ -293,7 +292,6 @@ func compile10k(ctx context.Context, quick bool, seed int64, workers int, ob aut
 	rec.metric("isc_iterations", float64(len(res.Trace)))
 	rec.metric("multilevel_rounds", float64(cs.MultilevelRounds))
 	rec.metric("eigensolves", float64(cs.Eigensolves))
-	rec.metric("warm_starts", float64(cs.WarmStarts))
 	rec.metric("refine_moves", float64(cs.RefineMoves))
 	return nil
 }
@@ -358,8 +356,8 @@ func clusterStage(ctx context.Context, quick bool, seed int64, workers int, ob a
 	speedup := float64(flat.wall) / float64(ml.wall)
 	cs := ml.stats.LastClusterStats
 	fmt.Printf("multilevel speedup: %.2fx (cutoff %d)\n", speedup, cutoff)
-	fmt.Printf("engine: %d multilevel + %d flat rounds, depth %d, %d matchings, %d eigensolves (%d warm), %d refine moves\n",
-		cs.MultilevelRounds, cs.FlatRounds, cs.MaxDepth, cs.Matchings, cs.Eigensolves, cs.WarmStarts, cs.RefineMoves)
+	fmt.Printf("engine: %d multilevel + %d flat rounds, depth %d, %d matchings, %d eigensolves, %d refine moves\n",
+		cs.MultilevelRounds, cs.FlatRounds, cs.MaxDepth, cs.Matchings, cs.Eigensolves, cs.RefineMoves)
 	rec.metric("flat_seconds", flat.wall.Seconds())
 	rec.metric("multilevel_seconds", ml.wall.Seconds())
 	rec.metric("cluster_speedup", speedup)
@@ -368,7 +366,6 @@ func clusterStage(ctx context.Context, quick bool, seed int64, workers int, ob a
 	rec.metric("flat_outlier_ratio", flat.outliers)
 	rec.metric("multilevel_outlier_ratio", ml.outliers)
 	rec.metric("multilevel_eigensolves", float64(cs.Eigensolves))
-	rec.metric("multilevel_warm_starts", float64(cs.WarmStarts))
 	rec.metric("multilevel_refine_moves", float64(cs.RefineMoves))
 	return nil
 }

@@ -2,6 +2,8 @@ package autoncs
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 )
 
@@ -137,6 +139,46 @@ func TestCompileDeltaEquivalence(t *testing.T) {
 	}
 	if c, p, f := res.Report.Cost, prev.Report.Cost, full.Report.Cost; c > 1.2*max(p, f) {
 		t.Fatalf("delta cost %g, prev %g, full %g", c, p, f)
+	}
+}
+
+// TestCompileDeltaChainDrift: an editing session chains deltas, each
+// resumed from the previous delta's result. Five localized edits in
+// disjoint windows must leave the final result within the same quality
+// gates TestCompileDeltaEquivalence applies to a single delta, against
+// the original base and against a from-scratch compile of the final net.
+func TestCompileDeltaChainDrift(t *testing.T) {
+	if RaceEnabled {
+		t.Skip("a minute under the race detector; the single-delta tests cover the kernels")
+	}
+	net := RandomSparseNetwork(240, 0.95, 3)
+	cfg := DefaultConfig()
+	base, err := Compile(net, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := base
+	for k := 0; k < 5; k++ {
+		net = editNet(net, 10+30*k, 8, 2, 2)
+		if res, _, err = CompileDelta(res, net, cfg); err != nil {
+			t.Fatalf("edit %d: %v", k+1, err)
+		}
+		if err := res.Assignment.Validate(net); err != nil {
+			t.Fatalf("edit %d: delta assignment invalid on the edited net: %v", k+1, err)
+		}
+	}
+	full, err := Compile(net, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, p, f := res.Assignment.OutlierRatio(), base.Assignment.OutlierRatio(), full.Assignment.OutlierRatio(); r > max(p, f)+0.02 {
+		t.Fatalf("chained delta outlier ratio %g, base %g, full %g", r, p, f)
+	}
+	if nd, nb := len(res.Assignment.Crossbars), len(base.Assignment.Crossbars); nd > nb+2 {
+		t.Fatalf("chained delta uses %d crossbars, base %d", nd, nb)
+	}
+	if c, p, f := res.Report.Cost, base.Report.Cost, full.Report.Cost; c > 1.2*max(p, f) {
+		t.Fatalf("chained delta cost %g, base %g, full %g", c, p, f)
 	}
 }
 
@@ -350,5 +392,35 @@ func TestDecodeArtifactRejects(t *testing.T) {
 	}
 	if _, err := DecodeArtifact([]byte(`not json`)); err == nil {
 		t.Fatal("garbage accepted")
+	}
+	// Neuron ids outside [0, N) would panic BaseNetwork; they are refused
+	// at decode with a typed error.
+	artifact := func(assignment string) []byte {
+		return []byte(`{"format":"` + artifactFormat + `","config_vector":"` + strings.Repeat("0", 64) +
+			`","assignment":` + assignment + `}`)
+	}
+	cases := []struct {
+		name, assignment, field string
+	}{
+		{"synapse endpoint", `{"version":1,"neurons":12,"connections":1,"crossbars":[],"synapses":[[0,12]]}`, "assignment synapses[0]"},
+		{"crossbar input", `{"version":1,"neurons":12,"connections":1,"crossbars":[{"size":16,"inputs":[3,12],"outputs":[3],"conns":[[3,3]]}],"synapses":[]}`, "assignment crossbars[0].inputs[1]"},
+		{"negative conn", `{"version":1,"neurons":12,"connections":1,"crossbars":[{"size":16,"inputs":[3],"outputs":[3],"conns":[[3,-1]]}],"synapses":[]}`, "assignment crossbars[0].conns[0]"},
+		{"too many neurons", `{"version":1,"neurons":40000,"connections":0,"crossbars":[],"synapses":[]}`, "assignment neurons"},
+	}
+	for _, tc := range cases {
+		_, err := DecodeArtifact(artifact(tc.assignment))
+		var ae *ArtifactError
+		if !errors.As(err, &ae) || ae.Field != tc.field {
+			t.Errorf("%s: DecodeArtifact returned %v, want an ArtifactError on %s", tc.name, err, tc.field)
+		}
+	}
+	// The same artifact with every id in range decodes, and BaseNetwork
+	// rebuilds its one connection.
+	art, err := DecodeArtifact(artifact(`{"version":1,"neurons":12,"connections":1,"crossbars":[],"synapses":[[0,11]]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base := BaseNetwork(art.Assignment); base.NNZ() != 1 || !base.Has(0, 11) {
+		t.Fatalf("base network of the in-range artifact: %d connections", base.NNZ())
 	}
 }

@@ -101,7 +101,7 @@ func TestCompileGolden(t *testing.T) {
 	for _, gc := range goldenCases {
 		gc := gc
 		t.Run(gc.Name, func(t *testing.T) {
-			if raceEnabled && gc.N > 500 {
+			if autoncs.RaceEnabled && gc.N > 500 {
 				t.Skip("Lanczos-path compile takes minutes under the race detector; its kernels are race-tested per package")
 			}
 			path := filepath.Join("testdata", "golden", gc.Name+".json")
@@ -175,7 +175,7 @@ func TestCompileGoldenMultilevel(t *testing.T) {
 	for _, gc := range goldenCases {
 		gc := gc
 		t.Run(gc.Name, func(t *testing.T) {
-			if raceEnabled && gc.N > 500 {
+			if autoncs.RaceEnabled && gc.N > 500 {
 				t.Skip("multilevel Lanczos compile takes minutes under the race detector; its kernels are race-tested per package")
 			}
 			path := filepath.Join("testdata", "golden", gc.Name+"_ml.json")

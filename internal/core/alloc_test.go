@@ -47,33 +47,6 @@ func TestLanczosMatvecAllocs(t *testing.T) {
 	}
 }
 
-// TestWarmEmbeddingAllocs pins the multilevel-mode flat rounds: once the
-// scratch has grown, a full warm-started Lanczos embedding — operator init,
-// seeded start vector, adaptive solve with verified residuals, Ritz store,
-// D^{-1/2} back-map — runs without steady-state allocations. The first call
-// is the warm-up AllocsPerRun performs before measuring.
-func TestWarmEmbeddingAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("repeated 600-node Lanczos solves")
-	}
-	rng := rand.New(rand.NewSource(43))
-	w := graph.RandomSparse(600, 0.985, rng)
-	sc, _ := mlScratchFor(1024)
-	kHint := 8
-	allocs := testing.AllocsPerRun(3, func() {
-		emb, err := newSpectralEmbedding(w, kHint, 1, sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if emb == nil || emb.cols < 2 {
-			t.Fatal("embedding missing")
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("warm Lanczos embedding allocated %.1f times per solve, want 0", allocs)
-	}
-}
-
 // TestRefineAllocs pins the per-level boundary refinement: with the
 // mlScratch grown, a full refine pass (gain scan, candidate sort, ordered
 // commits) is allocation-free on the serial path.

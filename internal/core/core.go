@@ -66,12 +66,6 @@ type scratch struct {
 	ml        mlOptions
 	mlSc      *mlScratch
 	stats     *EngineStats // non-nil iff ml.enabled
-	warm      warmState
-	lapOp     matrix.CSRLaplacianOp
-	opFn      matrix.MulVecFunc // stored once: sc.lapOp.Mul without a per-call closure
-	rng       *rand.Rand        // re-seeded per warm solve; no allocation per iteration
-	uDense    *matrix.Dense     // D^{-1/2}-scaled eigenvector matrix of the warm path
-	emb       spectralEmbedding // the warm path's reused embedding header
 	activeBuf []int
 }
 
@@ -166,12 +160,6 @@ func lanczosEmbedding(csr *graph.CSR, active []int, g2l []int32, kHint, workers 
 	local := csr.RestrictTo(active, g2l, &sc.local)
 	deg := local.LaplacianDegrees()
 	rowPtr, col := local.Arrays()
-	if sc.ml.enabled {
-		// Multilevel mode reaches this path only for active networks at or
-		// below the multilevel cutoff (the ISC tail): the adaptive solver with
-		// a warm start carried from the previous iteration's Ritz basis.
-		return sc.warmLanczosEmbedding(active, deg, rowPtr, col, na, k, workers)
-	}
 	op, err := matrix.NormalizedLaplacianCSRN(na, deg, rowPtr, col, workers)
 	if err != nil {
 		return nil, fmt.Errorf("core: lanczos embedding: %w", err)
@@ -476,7 +464,7 @@ type ISCResult struct {
 	Assignment *xbar.Assignment
 	Trace      []Iteration
 	// Engine summarizes the clustering engine's work (multilevel rounds,
-	// matchings, eigensolves, warm starts, timings). Zero when the flat
+	// matchings, bisection eigensolves, timings). Zero when the flat
 	// engine ran without the multilevel option.
 	Engine EngineStats
 }
@@ -508,8 +496,8 @@ type ISCOptions struct {
 	// the clustering.
 	Observer obs.Observer
 	// Multilevel enables the coarsen→solve→uncoarsen clustering engine for
-	// iterations whose active network exceeds MultilevelCutoff, with
-	// warm-started adaptive Lanczos solves below it. Off by default: the
+	// iterations whose active network exceeds MultilevelCutoff; iterations
+	// at or below it run the flat engine unchanged. Off by default: the
 	// flat engine is the paper-faithful reference path and its results are
 	// golden-pinned.
 	Multilevel bool
@@ -611,8 +599,7 @@ func ISCCtx(ctx context.Context, w *graph.Conn, opts ISCOptions) (*ISCResult, er
 
 	// One scratch for the whole loop: every iteration's spectral restriction,
 	// Lanczos solve, and k-means passes draw from the same grown-once buffers.
-	// In multilevel mode the scratch also carries the hierarchy and the warm
-	// Ritz basis from iteration to iteration.
+	// In multilevel mode the scratch also carries the hierarchy storage.
 	var engine EngineStats
 	sc := &scratch{}
 	if opts.Multilevel {
@@ -705,7 +692,6 @@ func ISCCtx(ctx context.Context, w *graph.Conn, opts ISCOptions) (*ISCResult, er
 			MaxDepth:         engine.MaxDepth,
 			Matchings:        engine.Matchings,
 			Eigensolves:      engine.Eigensolves,
-			WarmStarts:       engine.WarmStarts,
 			LanczosSteps:     engine.LanczosSteps,
 			RefineMoves:      engine.RefineMoves,
 			CoarsenTime:      engine.CoarsenTime,

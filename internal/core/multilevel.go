@@ -30,8 +30,8 @@ import (
 const (
 	// DefaultMultilevelCutoff is the coarse-graph size the hierarchy aims
 	// for: coarsening stops once a level has at most this many nodes, and
-	// ISC iterations whose active network is already at or below it use the
-	// flat engine (with warm-started Lanczos solves).
+	// ISC iterations whose active network is already at or below it run the
+	// flat engine unchanged.
 	DefaultMultilevelCutoff = 1024
 	// DefaultCoarsenRatio is the minimum shrink a level must achieve for
 	// coarsening to continue: the hierarchy stops early when a matching
@@ -57,9 +57,8 @@ type EngineStats struct {
 	Levels           int // coarsening levels built, summed over rounds
 	MaxDepth         int // deepest hierarchy of any round
 	Matchings        int // pairwise heavy-edge contractions committed
-	Eigensolves      int // spectral solves (bisections + flat embeddings)
-	WarmStarts       int // Lanczos solves seeded from a previous Ritz basis
-	LanczosSteps     int // Krylov steps across all adaptive Lanczos solves
+	Eigensolves      int // bisection eigensolves (flat rounds are not counted)
+	LanczosSteps     int // Krylov steps across the bisections' adaptive Lanczos solves
 	RefineMoves      int // boundary moves applied during uncoarsening
 	CoarsenTime      time.Duration
 	SolveTime        time.Duration
@@ -421,7 +420,7 @@ func splitPart(g *graph.WGraph, nodes []int32, maxSize int) *splitResult {
 			return r
 		}
 		var lws matrix.LanczosWS
-		_, vecs, steps, err := matrix.LanczosSmallestFrom(&lws, op, m, 2, nil, rand.New(rand.NewSource(mlSeed(nodes))), 1)
+		_, vecs, steps, err := matrix.LanczosSmallestAdaptive(&lws, op, m, 2, rand.New(rand.NewSource(mlSeed(nodes))), 1)
 		if err != nil {
 			r.err = fmt.Errorf("core: multilevel bisection (m=%d): %w", m, err)
 			return r
@@ -655,113 +654,6 @@ func sortMoves(cand []int32, gain, fied []float64) {
 			cand[j] = c
 		}
 	}
-}
-
-// warmState carries the previous ISC iteration's Ritz basis so the next
-// flat-round Lanczos solve can start from it. The active subgraph shrinks
-// monotonically across ISC iterations, so the projection is a cheap gather:
-// each surviving neuron keeps its previous Ritz row, and the rows are
-// collapsed onto a single start vector with coefficients 1/(c+1) — the
-// smallest Ritz directions dominate, which is where the new spectrum lives.
-type warmState struct {
-	valid bool
-	g2l   []int32   // global neuron id → previous local row; -1 = absent
-	basis []float64 // previous na × k Ritz vectors, row-major (pre D^{-1/2})
-	k     int
-	v0    []float64
-}
-
-// startVector builds the warm start vector over the current active set, or
-// returns nil when no usable carry exists (first iteration, or no overlap).
-func (wm *warmState) startVector(active []int) []float64 {
-	if !wm.valid {
-		return nil
-	}
-	na := len(active)
-	wm.v0 = growF64(wm.v0, na)
-	k := wm.k
-	nonzero := false
-	for a, i := range active {
-		p := wm.g2l[i]
-		if p < 0 {
-			wm.v0[a] = 0
-			continue
-		}
-		row := wm.basis[int(p)*k : int(p)*k+k]
-		s := 0.0
-		for c, x := range row {
-			s += x / float64(c+1)
-		}
-		wm.v0[a] = s
-		if s != 0 {
-			nonzero = true
-		}
-	}
-	if !nonzero {
-		return nil
-	}
-	return wm.v0[:na]
-}
-
-// store retains the solve's Ritz vectors and the active ids they belong to.
-func (wm *warmState) store(active []int, vecs *matrix.Dense, nGlobal int) {
-	na, k := len(active), vecs.Cols()
-	wm.k = k
-	wm.basis = growF64(wm.basis, na*k)
-	for a := 0; a < na; a++ {
-		row := wm.basis[a*k : (a+1)*k]
-		for c := 0; c < k; c++ {
-			row[c] = vecs.At(a, c)
-		}
-	}
-	wm.g2l = growI32(wm.g2l, nGlobal)
-	for i := range wm.g2l {
-		wm.g2l[i] = -1
-	}
-	for a, i := range active {
-		wm.g2l[i] = int32(a)
-	}
-	wm.valid = true
-}
-
-// warmLanczosEmbedding is the multilevel-mode sparse embedding: the adaptive
-// Lanczos solver started from the previous iteration's Ritz carry, over
-// scratch-owned storage end to end — zero steady-state allocations (the
-// alloc pin), and bit-identical for every worker count. The returned
-// embedding aliases the scratch and is consumed before the next call.
-func (sc *scratch) warmLanczosEmbedding(active []int, deg []float64, rowPtr, col []int32, na, k, workers int) (*spectralEmbedding, error) {
-	if sc.opFn == nil {
-		sc.opFn = sc.lapOp.Mul
-	}
-	if err := sc.lapOp.Init(na, deg, rowPtr, col, workers); err != nil {
-		return nil, fmt.Errorf("core: lanczos embedding: %w", err)
-	}
-	if sc.rng == nil {
-		sc.rng = rand.New(rand.NewSource(lanczosSeed))
-	} else {
-		sc.rng.Seed(lanczosSeed)
-	}
-	v0 := sc.warm.startVector(active)
-	if v0 != nil {
-		sc.stats.WarmStarts++
-	}
-	_, vecs, steps, err := matrix.LanczosSmallestFrom(&sc.lanWS, sc.opFn, na, k, v0, sc.rng, workers)
-	if err != nil {
-		return nil, fmt.Errorf("core: lanczos embedding: %w", err)
-	}
-	sc.stats.Eigensolves++
-	sc.stats.LanczosSteps += steps
-	sc.warm.store(active, vecs, len(sc.g2l))
-	cols := vecs.Cols()
-	sc.uDense = sc.uDense.Reshape(na, cols)
-	for a := 0; a < na; a++ {
-		inv := 1 / math.Sqrt(deg[a])
-		for c := 0; c < cols; c++ {
-			sc.uDense.Set(a, c, inv*vecs.At(a, c))
-		}
-	}
-	sc.emb = spectralEmbedding{active: active, u: sc.uDense, cols: cols}
-	return &sc.emb, nil
 }
 
 // moveBefore reports whether candidate a commits before candidate b.

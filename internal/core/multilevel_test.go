@@ -81,10 +81,10 @@ func mlOpts(seed int64, cutoff, workers int) ISCOptions {
 
 // engineCounters compares every deterministic EngineStats field (the wall
 // times are excluded: they are diagnostic and vary run to run).
-func engineCounters(s EngineStats) [9]int {
-	return [9]int{
+func engineCounters(s EngineStats) [8]int {
+	return [8]int{
 		s.MultilevelRounds, s.FlatRounds, s.Levels, s.MaxDepth,
-		s.Matchings, s.Eigensolves, s.WarmStarts, s.LanczosSteps, s.RefineMoves,
+		s.Matchings, s.Eigensolves, s.LanczosSteps, s.RefineMoves,
 	}
 }
 
@@ -100,7 +100,7 @@ func TestClusterWorkerInvariance(t *testing.T) {
 	}
 	// Cutoff 560 puts the large first rounds on the multilevel engine with
 	// Lanczos bisections, and the (512, 560] tail rounds on the flat
-	// warm-started Lanczos path, covering every parallel kernel.
+	// engine's Lanczos solve, covering every parallel kernel.
 	cutoffs := map[string]int{"clustered": 48, "sparse720": 560}
 	for name, w := range nets {
 		if raceEnabled && name == "sparse720" {

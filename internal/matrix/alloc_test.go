@@ -83,7 +83,7 @@ func TestLanczosStepAllocs(t *testing.T) {
 func TestLanczosWSMatchesFresh(t *testing.T) {
 	const n, k = 650, 8
 	op := ringOp(t, n, 1)
-	fv, fvecs, err := LanczosSmallestN(op, n, k, rand.New(rand.NewSource(9)), 1)
+	fv, fvecs, err := LanczosSmallestWS(nil, op, n, k, rand.New(rand.NewSource(9)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

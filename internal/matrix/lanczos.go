@@ -31,14 +31,10 @@ type LanczosWS struct {
 	proj     []float64
 	zBuf     []float64
 
-	// Adaptive-solver state (LanczosSmallestFrom): tridiagonal scratch, the
-	// ws-owned output the warm path returns, and the selection buffers of
-	// the allocation-free smallest-k extraction.
+	// Adaptive-solver state (LanczosSmallestAdaptive): tridiagonal scratch
+	// and the selection buffers of the smallest-k extraction.
 	dwork   []float64
 	ework   []float64
-	valBuf  []float64
-	outBuf  []float64
-	out     Dense
 	zwork   Dense
 	selBuf  []int32
 	usedBuf []bool
@@ -68,10 +64,10 @@ func (ws *LanczosWS) prepare(steps, n int) {
 	ws.proj = growFloats(ws.proj, steps)
 }
 
-// LanczosSmallest computes approximations to the k smallest eigenpairs of
-// a symmetric n×n operator given only by matrix-vector products, using the
-// Lanczos iteration with full reorthogonalization and an eigensolve of the
-// tridiagonal Krylov projection.
+// LanczosSmallestWS computes approximations to the k smallest eigenpairs
+// of a symmetric n×n operator given only by matrix-vector products, using
+// the Lanczos iteration with full reorthogonalization and an eigensolve of
+// the tridiagonal Krylov projection.
 //
 // It runs min(n, max(4k+40, 10k)) Lanczos steps, which is accurate for the
 // well-separated extremal spectra of clustered graph Laplacians — the use
@@ -81,23 +77,17 @@ func (ws *LanczosWS) prepare(steps, n int) {
 // The returned eigenvalues ascend; the i-th column of the returned matrix
 // is the Ritz vector for the i-th value. rng seeds the start vector, making
 // results deterministic for a fixed source.
-func LanczosSmallest(mul MulVecFunc, n, k int, rng *rand.Rand) (values []float64, vectors *Dense, err error) {
-	return LanczosSmallestN(mul, n, k, rng, 1)
-}
-
-// LanczosSmallestN is LanczosSmallest on a bounded worker pool (0 = package
-// default). The reorthogonalization fans its dot products out over basis
-// vectors and its update over fixed-size element chunks, and the Ritz-vector
-// assembly parallelizes over row chunks; each kernel keeps a floating-point
-// evaluation order fixed by the input alone, so the result is bit-identical
-// for any worker count. The rng is consumed only on the calling goroutine.
-func LanczosSmallestN(mul MulVecFunc, n, k int, rng *rand.Rand, workers int) (values []float64, vectors *Dense, err error) {
-	return LanczosSmallestWS(nil, mul, n, k, rng, workers)
-}
-
-// LanczosSmallestWS is LanczosSmallestN drawing all iteration storage from
-// ws (nil = allocate fresh). The returned values and vectors never alias the
-// workspace, so they survive its next use.
+//
+// The reorthogonalization fans its dot products out over basis vectors and
+// its update over fixed-size element chunks, and the Ritz-vector assembly
+// parallelizes over row chunks on a bounded worker pool (0 = package
+// default); each kernel keeps a floating-point evaluation order fixed by
+// the input alone, so the result is bit-identical for any worker count. The
+// rng is consumed only on the calling goroutine.
+//
+// All iteration storage is drawn from ws (nil = allocate fresh). The
+// returned values and vectors never alias the workspace, so they survive
+// its next use.
 func LanczosSmallestWS(ws *LanczosWS, mul MulVecFunc, n, k int, rng *rand.Rand, workers int) (values []float64, vectors *Dense, err error) {
 	if k <= 0 || k > n {
 		panic(fmt.Sprintf("matrix: LanczosSmallest k=%d out of (0,%d]", k, n))
@@ -366,70 +356,11 @@ func NormalizedLaplacianWeightedCSRN(n int, deg []float64, rowPtr, col []int32, 
 	}, nil
 }
 
-// CSRLaplacianOp is the reusable-state form of NormalizedLaplacianCSRN: Init
-// rebinds it to a new (restricted) CSR without allocating once its invSqrt
-// buffer has grown, and Mul is a plain method — a caller that stores the
-// bound method value once (op := o.Mul) gets a MulVecFunc whose per-solve
-// setup performs zero steady-state allocations, which the closure-returning
-// constructors cannot offer. With Workers ≤ 1 the product runs as an inline
-// serial loop (no pool dispatch, no closure); the parallel path computes
-// each row in the identical fixed order, so results are bit-identical for
-// any worker count.
-type CSRLaplacianOp struct {
-	n       int
-	rowPtr  []int32
-	col     []int32
-	invSqrt []float64
-	workers int
-}
-
-// Init points the operator at a unit-weight CSR adjacency. The index slices
-// are retained, not copied; invSqrt storage is reused across Inits.
-func (o *CSRLaplacianOp) Init(n int, deg []float64, rowPtr, col []int32, workers int) error {
-	if len(deg) != n {
-		return fmt.Errorf("matrix: %d degrees for n=%d", len(deg), n)
-	}
-	if len(rowPtr) != n+1 {
-		return fmt.Errorf("matrix: %d row pointers for n=%d", len(rowPtr), n)
-	}
-	o.invSqrt = growFloats(o.invSqrt, n)
-	for i, d := range deg {
-		if d <= 0 {
-			return fmt.Errorf("matrix: non-positive degree %g at %d", d, i)
-		}
-		o.invSqrt[i] = 1 / math.Sqrt(d)
-	}
-	o.n, o.rowPtr, o.col, o.workers = n, rowPtr, col, workers
-	return nil
-}
-
-// Mul applies dst = L_sym·src. Arithmetic and accumulation order match
-// NormalizedLaplacianCSRN exactly.
-func (o *CSRLaplacianOp) Mul(dst, src []float64) {
-	if o.workers <= 1 {
-		for i := 0; i < o.n; i++ {
-			acc := 0.0
-			for _, j := range o.col[o.rowPtr[i]:o.rowPtr[i+1]] {
-				acc += o.invSqrt[j] * src[j]
-			}
-			dst[i] = src[i] - o.invSqrt[i]*acc
-		}
-		return
-	}
-	n, invSqrt, rowPtr, col := o.n, o.invSqrt, o.rowPtr, o.col
-	parallel.For(o.workers, n, func(i int) {
-		acc := 0.0
-		for _, j := range col[rowPtr[i]:rowPtr[i+1]] {
-			acc += invSqrt[j] * src[j]
-		}
-		dst[i] = src[i] - invSqrt[i]*acc
-	})
-}
-
-// adaptive-stop tuning of LanczosSmallestFrom: the first residual check runs
-// once the basis can resolve k pairs with headroom, then repeats on a fixed
-// cadence. Constants, so the checked step set — and therefore the result —
-// depends only on (n, k) and the convergence history, never on workers.
+// adaptive-stop tuning of LanczosSmallestAdaptive: the first residual
+// check runs once the basis can resolve k pairs with headroom, then repeats
+// on a fixed cadence. Constants, so the checked step set — and therefore
+// the result — depends only on (n, k) and the convergence history, never
+// on workers.
 const (
 	adaptMinSteps   = 16 // first check at 2k+adaptMinSteps basis vectors
 	adaptCheckEvery = 32
@@ -437,31 +368,23 @@ const (
 	// adaptResTol is the verified-residual stop threshold. The β·|z| bound
 	// only screens: with full reorthogonalization the recurrence carries
 	// corrections the tridiagonal never sees, so the bound can undershoot
-	// the true residual by orders of magnitude (most of all on warm starts,
-	// whose converged directions regrow every step). A pair counts as
-	// converged only when its assembled Ritz vector satisfies
-	// ‖A·y − θ·y‖ ≤ adaptResTol·scale — clustering-grade accuracy.
+	// the true residual by orders of magnitude. A pair counts as converged
+	// only when its assembled Ritz vector satisfies ‖A·y − θ·y‖ ≤
+	// adaptResTol·scale — clustering-grade accuracy.
 	adaptResTol = 1e-4
 )
 
-// LanczosSmallestFrom is the warm-start entry point of the solver: the
-// iteration starts from the caller's vector (the previous Ritz basis of a
-// monotonically shrinking ISC subgraph, collapsed onto the current active
-// set) instead of a random direction, and terminates early once the Ritz
-// residual bound β_m·|z_{m,i}| certifies the k smallest pairs to
-// clustering-grade accuracy — warm starts land in the target invariant
-// subspace, so the adaptive stop is what converts them into saved steps.
-// A degenerate start (zero norm) falls back to an rng-seeded random vector,
-// making the cold behaviour deterministic too.
-//
-// Unlike LanczosSmallestWS, the returned values and vectors live in ws and
-// are valid only until its next use; steps reports the Krylov dimension
-// reached. With workers ≤ 1 every kernel runs as an inline serial loop in
-// the same evaluation order as the chunked parallel path, so the solve is
-// allocation-free once ws has grown and bit-identical for any worker count.
-func LanczosSmallestFrom(ws *LanczosWS, mul MulVecFunc, n, k int, start []float64, rng *rand.Rand, workers int) (values []float64, vectors *Dense, steps int, err error) {
+// LanczosSmallestAdaptive is LanczosSmallestWS with an early stop: from an
+// rng-seeded start vector, the iteration terminates once the k smallest
+// Ritz pairs pass the β_m·|z_{m,i}| screen and a verified residual check
+// (clustering-grade accuracy), instead of always running the full step
+// bound. steps reports the Krylov dimension reached. The checked step set
+// depends only on (n, k) and the convergence history, and every kernel
+// keeps LanczosSmallestWS's fixed evaluation order, so the solve is
+// bit-identical for any worker count.
+func LanczosSmallestAdaptive(ws *LanczosWS, mul MulVecFunc, n, k int, rng *rand.Rand, workers int) (values []float64, vectors *Dense, steps int, err error) {
 	if k <= 0 || k > n {
-		panic(fmt.Sprintf("matrix: LanczosSmallestFrom k=%d out of (0,%d]", k, n))
+		panic(fmt.Sprintf("matrix: LanczosSmallestAdaptive k=%d out of (0,%d]", k, n))
 	}
 	maxSteps := 10 * k
 	if m := 4*k + 40; m > maxSteps {
@@ -476,15 +399,8 @@ func LanczosSmallestFrom(ws *LanczosWS, mul MulVecFunc, n, k int, start []float6
 	beta := ws.beta
 
 	v := ws.v
-	norm0 := 0.0
-	if len(start) == n {
-		copy(v, start)
-		norm0 = math.Sqrt(dotVec(v, v))
-	}
-	if norm0 < 1e-300 {
-		for i := range v {
-			v[i] = rng.NormFloat64()
-		}
+	for i := range v {
+		v[i] = rng.NormFloat64()
 	}
 	normalize(v)
 
@@ -509,7 +425,7 @@ func LanczosSmallestFrom(ws *LanczosWS, mul MulVecFunc, n, k int, start []float6
 				w[i] -= b * prev[i]
 			}
 		}
-		orthogonalizeN(w, basis, ws.proj, workers)
+		orthogonalize(w, basis, ws.proj, workers)
 		b := math.Sqrt(dotVec(w, w))
 		if j == maxSteps-1 {
 			break
@@ -524,7 +440,7 @@ func LanczosSmallestFrom(ws *LanczosWS, mul MulVecFunc, n, k int, start []float6
 			for i := range w {
 				w[i] = rng.NormFloat64()
 			}
-			orthogonalizeN(w, basis, ws.proj, workers)
+			orthogonalize(w, basis, ws.proj, workers)
 			nb := math.Sqrt(dotVec(w, w))
 			if nb < 1e-13 {
 				break
@@ -543,7 +459,8 @@ func LanczosSmallestFrom(ws *LanczosWS, mul MulVecFunc, n, k int, start []float6
 	if k > m {
 		k = m
 	}
-	// Final tridiagonal eigensolve and Ritz assembly into ws-owned output.
+	// Final tridiagonal eigensolve and Ritz assembly, in the chunked order
+	// of LanczosSmallestWS.
 	ws.dwork = growFloats(ws.dwork, m)
 	ws.ework = growFloats(ws.ework, m)
 	d := ws.dwork
@@ -558,21 +475,17 @@ func LanczosSmallestFrom(ws *LanczosWS, mul MulVecFunc, n, k int, start []float6
 		return nil, nil, m, fmt.Errorf("matrix: Lanczos projection eigensolve: %w", err)
 	}
 	sel := ws.selectSmallest(d, k)
-	ws.valBuf = growFloats(ws.valBuf, k)
+	values = make([]float64, k)
 	for i, s := range sel {
-		ws.valBuf[i] = d[s]
+		values[i] = d[s]
 	}
-	ws.outBuf = growFloats(ws.outBuf, n*k)
-	ws.out = Dense{rows: n, cols: k, data: ws.outBuf[:n*k]}
-	out := ws.out.data
-	for i := range out {
-		out[i] = 0
-	}
-	if workers <= 1 {
+	vectors = NewDense(n, k)
+	out := vectors.data
+	parallel.ForChunks(workers, n, ritzChunk, func(_, lo, hi int) {
 		for j := 0; j < m; j++ {
 			bj := basis[j]
 			zrow := z.data[j*m : (j+1)*m]
-			for row := 0; row < n; row++ {
+			for row := lo; row < hi; row++ {
 				b := bj[row]
 				vrow := out[row*k : (row+1)*k]
 				for col, s := range sel {
@@ -580,23 +493,8 @@ func LanczosSmallestFrom(ws *LanczosWS, mul MulVecFunc, n, k int, start []float6
 				}
 			}
 		}
-	} else {
-		kk := k
-		parallel.ForChunks(workers, n, ritzChunk, func(_, lo, hi int) {
-			for j := 0; j < m; j++ {
-				bj := basis[j]
-				zrow := z.data[j*m : (j+1)*m]
-				for row := lo; row < hi; row++ {
-					b := bj[row]
-					vrow := out[row*kk : (row+1)*kk]
-					for col, s := range sel {
-						vrow[col] += b * zrow[s]
-					}
-				}
-			}
-		})
-	}
-	return ws.valBuf[:k], &ws.out, m, nil
+	})
+	return values, vectors, m, nil
 }
 
 // converged decides the adaptive stop at basis size m = len(alpha) in two
@@ -607,7 +505,7 @@ func LanczosSmallestFrom(ws *LanczosWS, mul MulVecFunc, n, k int, start []float6
 // Then the verification: assemble each candidate Ritz vector y = V·z_i and
 // require the true residual ‖A·y − θ·y‖ ≤ adaptResTol·scale — the screen
 // alone undershoots badly once reorthogonalization corrections (invisible
-// to the tridiagonal) dominate, which is exactly the warm-start regime.
+// to the tridiagonal) dominate.
 // The assembly is strictly serial and mul is bit-identical for any worker
 // count, so the stop decision — and therefore the solve — is too.
 func (ws *LanczosWS) converged(mul MulVecFunc, basis [][]float64, alpha, beta []float64, bNext float64, k, n int) bool {
@@ -687,9 +585,8 @@ func (ws *LanczosWS) identity(m int) *Dense {
 }
 
 // selectSmallest returns the indices of the k smallest entries of d in
-// ascending value order (ties toward the lower index) without sorting d —
-// an allocation-free replacement for sortEig in the adaptive solver, whose
-// workspace retains the selection buffer.
+// ascending value order (ties toward the lower index) without reordering d
+// or the eigenvector matrix.
 func (ws *LanczosWS) selectSmallest(d []float64, k int) []int32 {
 	m := len(d)
 	if cap(ws.selBuf) < k {
@@ -717,42 +614,6 @@ func (ws *LanczosWS) selectSmallest(d []float64, k int) []int32 {
 		sel[i] = int32(best)
 	}
 	return sel
-}
-
-// orthogonalizeN is orthogonalize with an inline serial path for workers ≤ 1:
-// identical arithmetic in the identical order (per-element updates sweep the
-// basis in ascending j for both paths), but free of the per-call closure
-// allocations the pool dispatch costs — the warm ISC loop's zero-allocation
-// pin runs through here.
-func orthogonalizeN(w []float64, basis [][]float64, proj []float64, workers int) {
-	if workers > 1 {
-		orthogonalize(w, basis, proj, workers)
-		return
-	}
-	m := len(basis)
-	if m == 0 {
-		return
-	}
-	d := proj[:m]
-	for pass := 0; pass < 2; pass++ {
-		for j := 0; j < m; j++ {
-			d[j] = dotVec(w, basis[j])
-		}
-		for lo := 0; lo < len(w); lo += orthoChunk {
-			hi := lo + orthoChunk
-			if hi > len(w) {
-				hi = len(w)
-			}
-			for j := 0; j < m; j++ {
-				dj := d[j]
-				bj := basis[j][lo:hi]
-				wc := w[lo:hi]
-				for i := range wc {
-					wc[i] -= dj * bj[i]
-				}
-			}
-		}
-	}
 }
 
 func normalize(v []float64) {

@@ -59,7 +59,7 @@ func TestLanczosMatchesDenseOnRandomSym(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, vecs, err := LanczosSmallest(denseOp(a), n, k, rng)
+	vals, vecs, err := LanczosSmallestWS(nil, denseOp(a), n, k, rng, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestLanczosGraphLaplacianSmallestIsZero(t *testing.T) {
 		l.Set(i, (i+1)%n, -1)
 		l.Set(i, (i+n-1)%n, -1)
 	}
-	vals, vecs, err := LanczosSmallest(denseOp(l), n, 3, rand.New(rand.NewSource(2)))
+	vals, vecs, err := LanczosSmallestWS(nil, denseOp(l), n, 3, rand.New(rand.NewSource(2)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestLanczosInvalidKPanics(t *testing.T) {
 					t.Errorf("k=%d accepted", k)
 				}
 			}()
-			LanczosSmallest(denseOp(a), 4, k, rand.New(rand.NewSource(1)))
+			LanczosSmallestWS(nil, denseOp(a), 4, k, rand.New(rand.NewSource(1)), 1)
 		}()
 	}
 }
@@ -127,7 +127,7 @@ func TestLanczosInvalidKPanics(t *testing.T) {
 func TestLanczosDegenerateSpectrum(t *testing.T) {
 	// Identity: every eigenvalue is 1. Lanczos terminates after one step
 	// (invariant subspace) and must restart to deliver k pairs.
-	vals, vecs, err := LanczosSmallest(denseOp(Identity(10)), 10, 3, rand.New(rand.NewSource(3)))
+	vals, vecs, err := LanczosSmallestWS(nil, denseOp(Identity(10)), 10, 3, rand.New(rand.NewSource(3)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestNormalizedLaplacianOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, _, err := LanczosSmallest(op, 3, 3, rand.New(rand.NewSource(4)))
+	vals, _, err := LanczosSmallestWS(nil, op, 3, 3, rand.New(rand.NewSource(4)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func BenchmarkLanczos500x8(b *testing.B) {
 	op := denseOp(a)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := LanczosSmallest(op, n, 8, rand.New(rand.NewSource(6))); err != nil {
+		if _, _, err := LanczosSmallestWS(nil, op, n, 8, rand.New(rand.NewSource(6)), 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -75,7 +75,7 @@ func TestLanczosWorkerInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, u, err := LanczosSmallestN(mul, n, k, rand.New(rand.NewSource(11)), workers)
+		v, u, err := LanczosSmallestWS(nil, mul, n, k, rand.New(rand.NewSource(11)), workers)
 		if err != nil {
 			t.Fatal(err)
 		}

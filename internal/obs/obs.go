@@ -92,9 +92,9 @@ type ClusterStats struct {
 	Levels           int           // coarsening levels built, summed over rounds
 	MaxDepth         int           // deepest hierarchy of any round
 	Matchings        int           // pairwise heavy-edge contractions committed
-	Eigensolves      int           // spectral solves (bisections + flat embeddings)
-	WarmStarts       int           // Lanczos solves seeded from a previous Ritz basis
-	LanczosSteps     int           // Krylov steps across all adaptive Lanczos solves
+	Eigensolves      int           // bisection eigensolves (flat rounds are not counted)
+	WarmStarts       int           // always 0; remove with the next benchmark change
+	LanczosSteps     int           // Krylov steps across the bisections' adaptive Lanczos solves
 	RefineMoves      int           // boundary moves applied during uncoarsening
 	CoarsenTime      time.Duration // wall time building the hierarchies
 	SolveTime        time.Duration // wall time in coarse partitioning

@@ -8,7 +8,6 @@ import (
 	"repro"
 	"repro/client"
 	"repro/internal/cache"
-	"repro/internal/obs"
 )
 
 // Delta serving: a ?base=<key> submission asks the daemon to recompile an
@@ -39,19 +38,16 @@ func (s *Server) resolveDelta(ctx context.Context, sp *compileSpec) (status int,
 	akey := cache.Key(client.ArtifactKey([32]byte(sp.baseKey)))
 	payload, hit, _ := s.cache.GetDetail(akey)
 	// A local artifact miss asks the fleet, exactly like a result lookup:
-	// the base may have compiled on the shard owning its key. A peer hit is
-	// written through to the local memory LRU so an editing session's next
-	// delta resolves locally.
+	// the base may have compiled on the shard owning its key. A peer hit
+	// that decodes is written through to the local memory LRU so an editing
+	// session's next delta resolves locally.
 	if !hit && s.fleet != nil {
-		if lk := s.fleet.Find(ctx, [32]byte(akey)); lk != nil {
-			s.metrics.Observe(obs.PeerLookup{
-				Key: akey.Hex(), Peer: lk.Peer, Hit: lk.Hit,
-				Err: lk.Err != nil, Elapsed: lk.Elapsed,
-			})
-			if lk.Hit {
-				s.cache.PutMemory(akey, lk.Payload)
-				payload, hit = lk.Payload, true
-			}
+		validArtifact := func(p []byte) error {
+			_, err := autoncs.DecodeArtifact(p)
+			return err
+		}
+		if lk := s.findPeer(ctx, akey, validArtifact); lk != nil && lk.Hit {
+			payload, hit = lk.Payload, true
 		}
 	}
 	if !hit {

@@ -3,6 +3,9 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -11,6 +14,7 @@ import (
 	"time"
 
 	"repro/client"
+	"repro/internal/cache"
 )
 
 // trio is an in-process three-daemon fleet: every server knows the other
@@ -191,6 +195,80 @@ func TestFleetPeerMissCompilesLocally(t *testing.T) {
 	}
 	if m.JobsCompleted != 1 {
 		t.Fatalf("jobs_completed=%d, want 1 local compile", m.JobsCompleted)
+	}
+}
+
+// TestFleetRejectsInvalidPeerPayload: a peer answering a probe with bytes
+// that are not a valid payload for the key is treated as a failed lookup —
+// the requester compiles locally (or, for a delta base, answers the typed
+// missing-artifact 404) and never caches what the peer sent.
+func TestFleetRejectsInvalidPeerPayload(t *testing.T) {
+	tr := newTrio(t, nil)
+	ctx := context.Background()
+	garbage := []byte(`{"key":"not this one","assignment":[[`)
+
+	// Result path: the owner holds garbage under the requested key.
+	_, req := tr.seedOwnedBy(t, 0)
+	key, err := req.CacheKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.srv[0].cache.Put(cache.Key(key), garbage); err != nil {
+		t.Fatal(err)
+	}
+	st, err := tr.cl[1].CompileWait(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != client.StateDone || st.Cached || st.Peer != "" {
+		t.Fatalf("requester answer: %+v, want a fresh local compile", st)
+	}
+	got, err := tr.cl[1].ResultBytes(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got, garbage) {
+		t.Fatal("requester served the peer's garbage")
+	}
+	if cached, ok := tr.srv[1].cache.Peek(cache.Key(key)); !ok || bytes.Equal(cached, garbage) {
+		t.Fatalf("requester cache after local compile: present=%v garbage=%v", ok, bytes.Equal(cached, garbage))
+	}
+	m, err := tr.cl[1].Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.PeerHits != 0 || m.PeerErrors != 1 || m.JobsCompleted != 1 {
+		t.Fatalf("metrics: peer_hits=%d peer_errors=%d jobs_completed=%d, want 0/1/1",
+			m.PeerHits, m.PeerErrors, m.JobsCompleted)
+	}
+
+	// Artifact path: the owner of a delta base's artifact key holds garbage.
+	var base [32]byte
+	for i := 0; ; i++ {
+		base = sha256.Sum256([]byte{byte(i), byte(i >> 8)})
+		if tr.srv[0].fleet.Owns(client.ArtifactKey(base)) {
+			break
+		}
+	}
+	akey := cache.Key(client.ArtifactKey(base))
+	if err := tr.srv[0].cache.Put(akey, garbage); err != nil {
+		t.Fatal(err)
+	}
+	delta := req
+	delta.Base = hex.EncodeToString(base[:])
+	_, err = tr.cl[1].CompileWait(ctx, delta)
+	var ae *client.APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusNotFound || ae.Code != client.CodeBaseArtifactMissing {
+		t.Fatalf("delta against a garbage base artifact: %v, want 404 %s", err, client.CodeBaseArtifactMissing)
+	}
+	if _, ok := tr.srv[1].cache.Peek(akey); ok {
+		t.Fatal("requester cached the peer's garbage artifact")
+	}
+	if m, err = tr.cl[1].Metrics(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if m.PeerHits != 0 || m.PeerErrors != 2 {
+		t.Fatalf("metrics: peer_hits=%d peer_errors=%d, want 0/2", m.PeerHits, m.PeerErrors)
 	}
 }
 

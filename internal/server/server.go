@@ -22,6 +22,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -41,6 +42,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/fleet"
 	"repro/internal/obs"
+	"repro/internal/xbar"
 )
 
 // Options configures a Server.
@@ -463,13 +465,8 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// repeats are local. Any fleet failure falls through to a local
 	// compile: peering accelerates, it never gates.
 	if s.fleet != nil {
-		if lk := s.fleet.Find(r.Context(), [32]byte(spec.key)); lk != nil {
-			s.metrics.Observe(obs.PeerLookup{
-				Key: spec.key.Hex(), Peer: lk.Peer, Hit: lk.Hit,
-				Err: lk.Err != nil, Elapsed: lk.Elapsed,
-			})
+		if lk := s.findPeer(r.Context(), spec.key, validResult(spec.key)); lk != nil {
 			if lk.Hit {
-				s.cache.PutMemory(spec.key, lk.Payload)
 				j := s.cacheHitJob(spec, priority, lk.Payload, submitted, lk.Peer)
 				s.log.Info("peer cache hit", "job", j.id, "key", spec.key.Hex(),
 					"peer", lk.Peer, "elapsed", lk.Elapsed)
@@ -508,6 +505,46 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		// compile itself aborts only when no other waiter remains.
 		s.detachJob(j)
 		<-j.done
+	}
+}
+
+// findPeer asks the fleet for key's payload and records the lookup. A hit
+// is written through to the local memory LRU only if validate accepts the
+// payload; a rejected payload turns the lookup into a miss with an error,
+// so the caller falls back exactly as on a miss and nothing the peer sent
+// is cached or served. Returns nil when the fleet cannot help.
+func (s *Server) findPeer(ctx context.Context, key cache.Key, validate func([]byte) error) *fleet.Lookup {
+	lk := s.fleet.Find(ctx, [32]byte(key))
+	if lk == nil {
+		return nil
+	}
+	if lk.Hit {
+		if err := validate(lk.Payload); err != nil {
+			lk.Hit, lk.Payload, lk.Err = false, nil, fmt.Errorf("invalid payload: %w", err)
+		} else {
+			s.cache.PutMemory(key, lk.Payload)
+		}
+	}
+	s.metrics.Observe(obs.PeerLookup{
+		Key: key.Hex(), Peer: lk.Peer, Hit: lk.Hit,
+		Err: lk.Err != nil, Elapsed: lk.Elapsed,
+	})
+	return lk
+}
+
+// validResult accepts a peer's result payload for key: a client.Result
+// stamped with that key whose assignment decodes.
+func validResult(key cache.Key) func([]byte) error {
+	return func(payload []byte) error {
+		var res client.Result
+		if err := json.Unmarshal(payload, &res); err != nil {
+			return err
+		}
+		if res.Key != key.Hex() {
+			return fmt.Errorf("result key %q, want %s", res.Key, key.Hex())
+		}
+		_, err := xbar.ReadJSON(bytes.NewReader(res.Assignment))
+		return err
 	}
 }
 

@@ -47,7 +47,22 @@ func (a *Assignment) WriteJSON(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// ReadJSON parses an assignment previously written by WriteJSON.
+// FieldError reports decoded assignment contents no compile produces: a
+// neuron count above graph.MaxLoadNeurons, or a crossbar or synapse
+// endpoint outside [0, N).
+type FieldError struct {
+	Field  string // the offending field, e.g. "synapses[3]" or "crossbars[0].inputs[2]"
+	Reason string
+}
+
+func (e *FieldError) Error() string {
+	return fmt.Sprintf("xbar: assignment %s: %s", e.Field, e.Reason)
+}
+
+// ReadJSON parses an assignment previously written by WriteJSON. It rejects
+// with a *FieldError any neuron id outside [0, N), so the decoded
+// assignment is safe to index an N-neuron network with, and any N above
+// graph.MaxLoadNeurons, the cap of the network file parser.
 func ReadJSON(r io.Reader) (*Assignment, error) {
 	var in assignmentJSON
 	dec := json.NewDecoder(r)
@@ -61,6 +76,12 @@ func ReadJSON(r io.Reader) (*Assignment, error) {
 	if in.N < 0 || in.Total < 0 {
 		return nil, fmt.Errorf("xbar: negative sizes in assignment")
 	}
+	if in.N > graph.MaxLoadNeurons {
+		return nil, &FieldError{Field: "neurons", Reason: fmt.Sprintf("%d exceeds the %d-neuron limit", in.N, graph.MaxLoadNeurons)}
+	}
+	if err := in.checkIDs(); err != nil {
+		return nil, err
+	}
 	a := &Assignment{N: in.N, Total: in.Total, Synapses: pairsToEdges(in.Synapses)}
 	for _, cj := range in.Crossbars {
 		a.Crossbars = append(a.Crossbars, Crossbar{
@@ -71,6 +92,41 @@ func ReadJSON(r io.Reader) (*Assignment, error) {
 		})
 	}
 	return a, nil
+}
+
+// checkIDs returns a *FieldError for the first neuron id outside [0, N).
+// Field names are formatted only on failure.
+func (in *assignmentJSON) checkIDs() error {
+	out := func(v int) bool { return v < 0 || v >= in.N }
+	fail := func(v int, field string, idx ...any) error {
+		return &FieldError{Field: fmt.Sprintf(field, idx...), Reason: fmt.Sprintf("neuron %d out of range [0,%d)", v, in.N)}
+	}
+	pairs := func(ps [][2]int, field string, idx ...any) error {
+		for i, p := range ps {
+			for _, v := range p {
+				if out(v) {
+					return fail(v, field+"[%d]", append(idx, i)...)
+				}
+			}
+		}
+		return nil
+	}
+	for c, cj := range in.Crossbars {
+		for i, v := range cj.Inputs {
+			if out(v) {
+				return fail(v, "crossbars[%d].inputs[%d]", c, i)
+			}
+		}
+		for i, v := range cj.Outputs {
+			if out(v) {
+				return fail(v, "crossbars[%d].outputs[%d]", c, i)
+			}
+		}
+		if err := pairs(cj.Conns, "crossbars[%d].conns", c); err != nil {
+			return err
+		}
+	}
+	return pairs(in.Synapses, "synapses")
 }
 
 // SaveJSON writes the assignment to a file.

@@ -1,5 +1,5 @@
 //go:build !race
 
-package autoncs_test
+package autoncs
 
-const raceEnabled = false
+const RaceEnabled = false

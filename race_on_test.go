@@ -1,9 +1,11 @@
 //go:build race
 
-package autoncs_test
+package autoncs
 
-// raceEnabled reports whether the race detector is compiled in; the golden
-// harness uses it to skip the minutes-long Lanczos-path compile (the race
-// coverage of the sparse kernels comes from the per-package worker tests,
-// which run the same code at smaller sizes).
-const raceEnabled = true
+// RaceEnabled reports whether the race detector is compiled in. It is
+// exported so the external test package sees it too: the golden harness
+// skips the minutes-long Lanczos-path compile, and the chained-delta test
+// its five deltas (the race coverage of the kernels comes from the
+// per-package worker tests and the single-delta tests, which run the same
+// code at a fraction of the wall time).
+const RaceEnabled = true
